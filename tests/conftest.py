@@ -78,3 +78,13 @@ def small_dataset(small_cfg) -> SyntheticDataset:
 def id_only_dataset(small_cfg) -> SyntheticDataset:
     """Medium-locality ID-only dataset for cache-behaviour tests."""
     return make_dataset(small_cfg, "medium", seed=7, num_batches=24)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen-digests",
+        action="store_true",
+        default=False,
+        help="rewrite tests/golden/digests.json from the current code "
+        "instead of comparing against it (review the diff like code)",
+    )
