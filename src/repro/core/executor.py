@@ -262,8 +262,6 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
                     )
             queue.put(("plan", index, payload, flagged))
             pipeline._evict_batches_before(index + 1)
-            if monitor is not None:
-                monitor.on_cycle_end(index + 1)
         queue.put(
             (
                 "done",
@@ -486,8 +484,6 @@ class OverlappedExecutor:
                         )
                     oldest = min(in_flight) if in_flight else num_batches
                     pipeline._evict_batches_before(oldest)
-                if monitor is not None:
-                    monitor.on_cycle_end(cycle)
                 if retired is not None:
                     yield retired
             for table, key_of_slot in receiver.finish():

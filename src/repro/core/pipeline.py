@@ -134,14 +134,14 @@ class HazardMonitor:
     against them.  ``strict=True`` raises :class:`HazardError` immediately;
     otherwise violations accumulate in :attr:`violations`.
 
-    The default implementation keeps one int32 numpy array per table
-    recording the cycle at which the last scheduled write to each *slot*
-    lands (a check is a fancy-indexed comparison against the reading
-    cycle; retirement is lazy — a recorded cycle in the past never
-    compares as pending again).  The CPU-row write-backs of RAW-4 get
-    the same dense treatment while the table's row IDs stay below
-    ``_DENSE_WRITEBACK_ROWS`` — a gather over a few-MB array beats any
-    per-entry probing at that size.  The first larger row ID migrates
+    It keeps one int32 numpy array per table recording the cycle at
+    which the last scheduled write to each *slot* lands: a check is a
+    fancy-indexed comparison against the reading cycle, and retirement is
+    lazy — a recorded cycle in the past never compares as pending again,
+    so the monitor needs no end-of-cycle hook.  The CPU-row write-backs
+    of RAW-4 get the same dense treatment while the table's row IDs stay
+    below ``_DENSE_WRITEBACK_ROWS`` — a gather over a few-MB array beats
+    any per-entry probing at that size.  The first larger row ID migrates
     that table, permanently, to a compact ring of ``(insert_cycle,
     sorted dirty rows)`` entries: only the plans of the last
     ``PLAN_TO_INSERT - PLAN_TO_COLLECT`` cycles can have a write-back
@@ -151,28 +151,21 @@ class HazardMonitor:
     scale.  The ring relies on the pipeline's contract that per-table
     ``on_plan`` cycles are non-decreasing (each table is planned once
     per cycle, in cycle order), which lets retired entries be pruned as
-    soon as they fall behind the reading cycle.  ``legacy=True``
-    selects the original per-element dict bookkeeping, retained solely
-    as the oracle for the equivalence tests; all paths flag identical
-    violations in identical order.
+    soon as they fall behind the reading cycle.  Violations are flagged
+    per plan in ``fill_slots``/``miss_ids`` order.
     """
 
     strict: bool = True
-    legacy: bool = False
     violations: List[str] = field(default_factory=list)
-    # Vectorised state: table -> int32 pending-write cycle per slot and
-    # per row (small row universes), and table -> ring of (insert_cycle,
-    # sorted dirty row IDs) entries for the in-flight CPU write-backs of
-    # tables migrated past ``_DENSE_WRITEBACK_ROWS``.
+    # table -> int32 pending-write cycle per slot and per row (small row
+    # universes), and table -> ring of (insert_cycle, sorted dirty row IDs)
+    # entries for the in-flight CPU write-backs of tables migrated past
+    # ``_DENSE_WRITEBACK_ROWS``.
     _slot_write_cycles: Dict[int, np.ndarray] = field(default_factory=dict)
     _writeback_cycles: Dict[int, np.ndarray] = field(default_factory=dict)
     _recent_writebacks: Dict[int, List[Tuple[int, np.ndarray]]] = field(
         default_factory=dict
     )
-    # Legacy state: (table, slot) -> cycle of the last scheduled write not
-    # yet retired, and (table, row_id) -> cycle the write-back lands.
-    _pending_slot_writes: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    _pending_writebacks: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     def _flag(self, message: str) -> None:
         self.violations.append(message)
@@ -217,9 +210,6 @@ class HazardMonitor:
 
     def on_plan(self, cycle: int, table: int, plan: TablePlan) -> None:
         """Validate and register one table-plan produced at ``cycle``."""
-        if self.legacy:
-            self._on_plan_legacy(cycle, table, plan)
-            return
         collect_cycle = cycle + PLAN_TO_COLLECT
         insert_cycle = cycle + PLAN_TO_INSERT
         train_cycle = cycle + PLAN_TO_TRAIN
@@ -294,7 +284,7 @@ class HazardMonitor:
         # superseded (fill_slots is a subset of slots), and no in-flight
         # batch can have scheduled a later write — the latest write any
         # previous plan registered is its own train cycle, which is
-        # strictly earlier.  A plain scatter therefore matches the legacy
+        # strictly earlier.  A plain scatter therefore equals
         # ``max(existing, train_cycle)`` bookkeeping exactly.
         if slots.size:
             slot_writes[slots] = train_cycle
@@ -308,57 +298,6 @@ class HazardMonitor:
                     self._recent_writebacks.setdefault(table, []).append(
                         (insert_cycle, np.sort(dirty))
                     )
-
-    def _on_plan_legacy(self, cycle: int, table: int, plan: TablePlan) -> None:
-        """Original dict-based bookkeeping (equivalence-test oracle)."""
-        collect_cycle = cycle + PLAN_TO_COLLECT
-        insert_cycle = cycle + PLAN_TO_INSERT
-        train_cycle = cycle + PLAN_TO_TRAIN
-
-        for slot in plan.fill_slots:
-            pending = self._pending_slot_writes.get((table, int(slot)))
-            if pending is not None and pending >= collect_cycle:
-                self._flag(
-                    f"RAW-2/3: slot {int(slot)} of table {table} chosen as "
-                    f"victim (read at cycle {collect_cycle}) while an "
-                    f"in-flight batch writes it at cycle {pending}"
-                )
-
-        for row in plan.miss_ids:
-            pending = self._pending_writebacks.get((table, int(row)))
-            if pending is not None and pending >= collect_cycle:
-                self._flag(
-                    f"RAW-4: row {int(row)} of table {table} read from the "
-                    f"CPU table at cycle {collect_cycle} while its "
-                    f"write-back lands at cycle {pending}"
-                )
-
-        for slot in plan.fill_slots:
-            self._pending_slot_writes[(table, int(slot))] = insert_cycle
-        for slot in plan.slots:
-            existing = self._pending_slot_writes.get((table, int(slot)), -1)
-            self._pending_slot_writes[(table, int(slot))] = max(
-                existing, train_cycle
-            )
-        for row, evicted in zip(plan.fill_slots, plan.evicted_ids):
-            if int(evicted) != EMPTY:
-                self._pending_writebacks[(table, int(evicted))] = insert_cycle
-
-    def on_cycle_end(self, cycle: int) -> None:
-        """Retire writes that have now happened.
-
-        The vectorised implementation retires lazily (pending cycles in the
-        past never flag), so this is a no-op there; the legacy oracle prunes
-        its dicts eagerly.
-        """
-        if not self.legacy:
-            return
-        self._pending_slot_writes = {
-            k: v for k, v in self._pending_slot_writes.items() if v > cycle
-        }
-        self._pending_writebacks = {
-            k: v for k, v in self._pending_writebacks.items() if v > cycle
-        }
 
 
 @dataclass
@@ -457,13 +396,6 @@ class ScratchPipePipeline:
         future_window: How many upcoming batches [Plan] protects (2 in the
             paper: the [Insert]-to-[Collect] distance).
         monitor: Optional hazard monitor.
-        unique_cache: Plan from each batch's cached per-table sorted-unique
-            ID sets (computed once per batch, reused by its own Plan and by
-            the future windows of the two preceding Plans) instead of
-            re-``np.unique``-ing the raw lookup arrays per table per cycle.
-            Produces bit-identical plans; ``False`` reproduces the original
-            per-cycle recomputation and exists for the equivalence tests
-            and the perf harness's before/after comparison.
         executor: Execution strategy, by registered name
             (:mod:`repro.core.executor`): ``"serial"`` runs every stage in
             the calling process; ``"overlapped"`` runs Plan N+future on
@@ -478,7 +410,6 @@ class ScratchPipePipeline:
     trainer: Optional[PipelineTrainer] = None
     future_window: int = 2
     monitor: Optional[HazardMonitor] = None
-    unique_cache: bool = True
     executor: str = "serial"
 
     def __post_init__(self) -> None:
@@ -533,30 +464,21 @@ class ScratchPipePipeline:
         self, table: int, batch: MiniBatch, future_batches: List[MiniBatch]
     ) -> TablePlan:
         """Plan one table of one batch (the per-table unit of Plan work —
-        also the unit the overlapped executor shards across workers)."""
-        scratchpad = self.scratchpads[table]
-        future_ids: Optional[object] = None
-        if self.unique_cache:
-            # Each batch's sorted-unique IDs are computed once (cached
-            # on the MiniBatch) and shared between its own Plan and the
-            # future windows of the two preceding Plans.  The per-batch
-            # sets are handed over as a list — the Plan stage only
-            # flags their slots, so neither concatenating nor
-            # deduplicating across batches would change anything.
-            if future_batches:
-                future_ids = [
-                    b.unique_table_ids(table) for b in future_batches
-                ]
-            return scratchpad.plan_batch(
-                batch.unique_table_ids(table),
-                future_ids,
-                presorted_unique=True,
-            )
-        if future_batches:
-            future_ids = np.concatenate(
-                [b.table_ids(table) for b in future_batches]
-            )
-        return scratchpad.plan_batch(batch.sparse_ids[table], future_ids)
+        also the unit the overlapped executor shards across workers).
+
+        Each batch's sorted-unique IDs are computed once (cached on the
+        MiniBatch) and shared between its own Plan and the future windows
+        of the two preceding Plans.  The per-batch sets are handed over as
+        a list — the Plan stage only flags their slots, so neither
+        concatenating nor deduplicating across batches would change
+        anything.
+        """
+        future_ids = [b.unique_table_ids(table) for b in future_batches]
+        return self.scratchpads[table].plan_batch(
+            batch.unique_table_ids(table),
+            future_ids or None,
+            presorted_unique=True,
+        )
 
     def _do_plan(self, record: _InFlight, cycle: int) -> None:
         batch = record.batch
@@ -698,8 +620,6 @@ class ScratchPipePipeline:
                 in_flight[cycle] = _InFlight(batch=self._get_batch(cycle))
             oldest = min(in_flight) if in_flight else num_batches
             self._evict_batches_before(oldest)
-            if self.monitor is not None:
-                self.monitor.on_cycle_end(cycle)
             if retired is not None:
                 yield retired
 

@@ -30,7 +30,6 @@ def make_strawman_scratchpads(
     num_slots,
     policy_name="lru",
     with_storage: bool = False,
-    legacy_select: Optional[bool] = None,
 ) -> List[GpuScratchpad]:
     """Build per-table scratchpads configured for sequential execution.
 
@@ -49,7 +48,6 @@ def make_strawman_scratchpads(
             past_window=0,
             policy_name=policies[table],
             with_storage=with_storage,
-            legacy_select=legacy_select,
             table_index=table,
         )
         for table in range(config.num_tables)

@@ -120,7 +120,7 @@ class MiniBatch:
     # the future windows of the two preceding [Plan]s) and again by every
     # system replaying the same materialised trace — computing them once per
     # batch instead of per consumer is one of the pipeline's biggest wins.
-    _unique_cache: Optional[List[Optional[np.ndarray]]] = field(
+    _unique_ids: Optional[List[Optional[np.ndarray]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -139,10 +139,10 @@ class MiniBatch:
         Callers must treat the returned array as immutable — it is shared
         by every consumer of this batch.
         """
-        cache = self._unique_cache
+        cache = self._unique_ids
         if cache is None:
             cache = [None] * self.num_tables
-            object.__setattr__(self, "_unique_cache", cache)
+            object.__setattr__(self, "_unique_ids", cache)
         ids = cache[table]
         if ids is None:
             ids = cache[table] = _sorted_unique(self.table_ids(table))

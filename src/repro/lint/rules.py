@@ -608,7 +608,7 @@ class EnvDisciplineRule(LintRule):
                     yield module.finding(
                         node, self.name,
                         f"direct {dotted} access; read through "
-                        "repro._env (read_env/read_env_flag/write_env)",
+                        "repro._env (read_env/write_env)",
                     )
 
 

@@ -208,12 +208,10 @@ system_specs = st.builds(
         ScratchpadSpec,
         past_window=st.integers(min_value=0, max_value=5),
         with_storage=st.booleans(),
-        legacy_select=st.sampled_from([None, True, False]),
     ),
     pipeline=st.builds(
         PipelineSpec,
         future_window=st.integers(min_value=0, max_value=4),
-        unique_cache=st.booleans(),
     ),
     num_gpus=st.integers(min_value=1, max_value=8),
 )

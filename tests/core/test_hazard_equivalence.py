@@ -1,15 +1,14 @@
-"""Equivalence properties of the vectorised hot-loop rewrites.
+"""Equivalence of the vectorised Plan/monitor path with its references.
 
-The pipeline's Plan/monitor path was rewritten from per-element Python
-loops to numpy array operations; these tests pin the rewrites to their
-originals:
+The pipeline's Plan/monitor path runs on numpy array operations; these
+tests pin it to the simpler per-element references in ``tests/reference``:
 
 * the vectorised :class:`HazardMonitor` flags *exactly* the violations the
-  legacy dict implementation flags — same messages, same order — on
+  dict reference monitor flags — same messages, same order — on
   randomised traces with deliberately shrunken windows;
-* the per-batch unique-ID fast path (``unique_cache=True`` /
-  ``presorted_unique=True``) produces bit-identical ``TablePlan``s and
-  ``PipelineResult``s versus the per-cycle ``np.unique`` seed path.
+* planning from each batch's cached sorted-unique IDs
+  (``presorted_unique=True``) produces bit-identical ``TablePlan``s and
+  ``PipelineResult``s versus re-running ``np.unique`` every cycle.
 """
 
 import numpy as np
@@ -20,6 +19,7 @@ from repro.core.scratchpad import GpuScratchpad, required_slots
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.model.config import tiny_config
 from repro.systems.scratchpipe_system import make_scratchpads
+from tests.reference import DictHazardMonitor, PerCycleUniquePipeline
 
 
 def make_cfg(**overrides):
@@ -31,7 +31,7 @@ def make_cfg(**overrides):
 
 
 def run_monitored(cfg, dataset, past_window, future_window, num_slots,
-                  policy, legacy):
+                  policy, monitor_cls):
     pads = [
         GpuScratchpad(
             num_slots=num_slots,
@@ -41,7 +41,7 @@ def run_monitored(cfg, dataset, past_window, future_window, num_slots,
         )
         for _ in range(cfg.num_tables)
     ]
-    monitor = HazardMonitor(strict=False, legacy=legacy)
+    monitor = monitor_cls(strict=False)
     ScratchPipePipeline(
         config=cfg,
         scratchpads=pads,
@@ -53,7 +53,7 @@ def run_monitored(cfg, dataset, past_window, future_window, num_slots,
 
 
 class TestHazardMonitorEquivalence:
-    """Vectorised and legacy monitors are interchangeable oracles."""
+    """Vectorised and dict monitors are interchangeable oracles."""
 
     @pytest.mark.parametrize("past_window,future_window,policy", [
         (0, 0, "random"),   # both hazard classes fire
@@ -69,23 +69,23 @@ class TestHazardMonitorEquivalence:
         cfg = make_cfg()
         num_slots = 34
         violations = {}
-        for legacy in (False, True):
+        for monitor_cls in (HazardMonitor, DictHazardMonitor):
             # Fresh dataset per run: scratchpad planning is deterministic,
             # so both runs see identical plans.
             dataset = make_dataset(cfg, "random", seed=seed, num_batches=60)
             monitor = run_monitored(
                 cfg, dataset, past_window, future_window, num_slots,
-                policy, legacy,
+                policy, monitor_cls,
             )
-            violations[legacy] = monitor.violations
-        assert violations[False] == violations[True]
+            violations[monitor_cls] = monitor.violations
+        assert violations[HazardMonitor] == violations[DictHazardMonitor]
 
     def test_shrunken_windows_do_flag(self):
         # Guard against vacuous equivalence: the shrunken-window cases
         # above must actually produce violations.
         cfg = make_cfg()
         dataset = make_dataset(cfg, "random", seed=3, num_batches=60)
-        monitor = run_monitored(cfg, dataset, 0, 0, 34, "random", legacy=False)
+        monitor = run_monitored(cfg, dataset, 0, 0, 34, "random", HazardMonitor)
         assert any("RAW-2/3" in v for v in monitor.violations)
         assert any("RAW-4" in v for v in monitor.violations)
 
@@ -136,20 +136,20 @@ class TestUniqueFastPathEquivalence:
         cfg = make_cfg(rows_per_table=300, batch_size=6)
         results = {}
         monitors = {}
-        for unique_cache in (False, True):
+        for pipeline_cls in (PerCycleUniquePipeline, ScratchPipePipeline):
             dataset = MaterialisedDataset(
                 make_dataset(cfg, locality, seed=9, num_batches=30)
             )
             monitor = HazardMonitor(strict=False)
-            result = ScratchPipePipeline(
+            result = pipeline_cls(
                 config=cfg,
                 scratchpads=make_scratchpads(cfg, required_slots(cfg)),
                 dataset_batches=dataset,
                 monitor=monitor,
-                unique_cache=unique_cache,
             ).run()
-            results[unique_cache] = result
-            monitors[unique_cache] = monitor
-        assert results[False].cache_stats == results[True].cache_stats
-        assert results[False].train_hit_rate == results[True].train_hit_rate
-        assert monitors[False].violations == monitors[True].violations == []
+            results[pipeline_cls] = result
+            monitors[pipeline_cls] = monitor
+        slow, fast = results[PerCycleUniquePipeline], results[ScratchPipePipeline]
+        assert slow.cache_stats == fast.cache_stats
+        assert slow.train_hit_rate == fast.train_hit_rate
+        assert [m.violations for m in monitors.values()] == [[], []]

@@ -17,6 +17,7 @@ from repro.core.pipeline import HazardError, HazardMonitor, ScratchPipePipeline
 from repro.core.scratchpad import GpuScratchpad, required_slots
 from repro.data.trace import make_dataset
 from repro.model.config import tiny_config
+from tests.reference import DictHazardMonitor
 
 
 def make_cfg(**overrides):
@@ -132,14 +133,16 @@ class TestMonitorMechanics:
         )
 
     def test_legacy_retirement_clears_pending_writes(self):
-        monitor = HazardMonitor(strict=False, legacy=True)
-        # After on_cycle_end past the write cycle, the pending maps drain.
+        # The dict reference monitor prunes writes that have landed at the
+        # first plan of a later cycle, so its maps stay window-sized.
+        monitor = DictHazardMonitor(strict=False)
         monitor.on_plan(cycle=1, table=0, plan=self._one_slot_plan())
-        assert monitor._pending_slot_writes
-        assert monitor._pending_writebacks
-        monitor.on_cycle_end(10)
-        assert not monitor._pending_slot_writes
-        assert not monitor._pending_writebacks
+        assert monitor._pending_slot_writes == {(0, 0): 5}
+        assert monitor._pending_writebacks == {(0, 5): 4}
+        monitor.on_plan(cycle=10, table=1, plan=self._one_slot_plan())
+        assert monitor._pending_slot_writes == {(1, 0): 14}
+        assert monitor._pending_writebacks == {(1, 5): 13}
+        assert monitor.violations == []
 
     def test_vectorised_retirement_is_lazy(self):
         # The vectorised monitor never prunes; a write cycle in the past
@@ -147,7 +150,6 @@ class TestMonitorMechanics:
         # same slot/row is clean.
         monitor = HazardMonitor(strict=True)
         monitor.on_plan(cycle=1, table=0, plan=self._one_slot_plan())
-        monitor.on_cycle_end(10)  # no-op
         monitor.on_plan(cycle=11, table=0, plan=self._one_slot_plan())
         assert monitor.violations == []
 
@@ -157,8 +159,8 @@ class TestMonitorMechanics:
         # (slot 0 written at [Train]) and RAW-4 (row 5 written back).
         plan = self._one_slot_plan()
         seen = {}
-        for legacy in (False, True):
-            monitor = HazardMonitor(strict=False, legacy=legacy)
+        for monitor_cls in (HazardMonitor, DictHazardMonitor):
+            monitor = monitor_cls(strict=False)
             monitor.on_plan(cycle=1, table=0, plan=plan)
             second = self._one_slot_plan()
             second = type(second)(
@@ -169,9 +171,8 @@ class TestMonitorMechanics:
                 fill_slots=np.array([0]),
                 evicted_ids=np.array([7]),
             )
-            monitor.on_cycle_end(1)
             monitor.on_plan(cycle=2, table=0, plan=second)
-            seen[legacy] = monitor.violations
-        assert seen[False] == seen[True]
-        assert any("RAW-2/3" in v for v in seen[False])
-        assert any("RAW-4" in v for v in seen[False])
+            seen[monitor_cls] = monitor.violations
+        assert seen[HazardMonitor] == seen[DictHazardMonitor]
+        assert any("RAW-2/3" in v for v in seen[HazardMonitor])
+        assert any("RAW-4" in v for v in seen[HazardMonitor])

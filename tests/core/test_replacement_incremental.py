@@ -1,8 +1,8 @@
-"""Equivalence of the incremental victim selection with the scan oracle.
+"""Equivalence of the incremental victim selection with the scan reference.
 
-The incremental candidate queues (``legacy=False``, the default) must pick
-*bit-identical* victims, in identical order, to the retained full-scan
-policies (``legacy=True``) under arbitrary interleavings of hold / advance /
+The policies' incremental candidate queues must pick *bit-identical*
+victims, in identical order, to the full-scan reference policies
+(``tests/reference``) under arbitrary interleavings of hold / advance /
 record_use / select / reset — for all three policies, including selects
 whose victims are never used afterwards (selection is a pure query) and
 states rebuilt after ``reset()``.
@@ -20,6 +20,7 @@ from repro.core.replacement import (
     RandomPolicy,
     make_policy,
 )
+from tests.reference import ScanRandomPolicy, scan_policy, scan_scratchpads
 
 NUM_SLOTS = 24
 PAST_WINDOW = 2
@@ -60,10 +61,13 @@ def op_sequences(draw):
     return ops
 
 
-def _replay(policy_name, legacy, ops):
+def _replay(policy_name, scan, ops):
     """Replay one op sequence; returns the trace of select outcomes."""
     mask = HoldMask(num_slots=NUM_SLOTS, past_window=PAST_WINDOW)
-    policy = make_policy(policy_name, NUM_SLOTS, legacy=legacy)
+    if scan:
+        policy = scan_policy(policy_name, NUM_SLOTS)
+    else:
+        policy = make_policy(policy_name, NUM_SLOTS)
     policy.bind_hold_mask(mask)
     outcomes = []
     cycle = 0
@@ -84,13 +88,7 @@ def _replay(policy_name, legacy, ops):
             _, count, transient, use_victims = op
             transient = np.array(transient, dtype=np.int64)
             try:
-                if legacy:
-                    eligible = mask.eligible_mask()
-                    if transient.size:
-                        eligible[transient] = False
-                    victims = policy.select(eligible, count)
-                else:
-                    victims = policy.select_eligible(count, transient)
+                victims = policy.select_eligible(count, transient)
             except CachePressureError:
                 outcomes.append("pressure")
                 continue
@@ -115,9 +113,9 @@ class TestIncrementalMatchesOracle:
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_repeated_select_is_pure(self, policy_name):
         """Selection must not consume candidacy: with unchanged state the
-        same victims come back (matching the stateless scan oracle)."""
+        same victims come back (matching the stateless scan reference)."""
         mask = HoldMask(num_slots=NUM_SLOTS, past_window=PAST_WINDOW)
-        policy = make_policy(policy_name, NUM_SLOTS, legacy=False)
+        policy = make_policy(policy_name, NUM_SLOTS)
         policy.bind_hold_mask(mask)
         slots = np.arange(10, dtype=np.int64)
         mask.hold(slots)
@@ -158,20 +156,19 @@ class TestRandomVacancyOrder:
     """Regression: the vacancy-fill order of RandomPolicy is pinned to
     ascending slot index, for both implementations."""
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_warmup_fills_sorted_vacancies(self, legacy):
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_warmup_fills_sorted_vacancies(self, scan):
         mask = HoldMask(num_slots=12, past_window=1)
-        policy = RandomPolicy(num_slots=12, legacy=legacy, seed=7)
+        policy = (ScanRandomPolicy if scan else RandomPolicy)(
+            num_slots=12, seed=7
+        )
         policy.bind_hold_mask(mask)
         used = np.array([0, 3, 4], dtype=np.int64)
         mask.hold(used)
         policy.record_use(used, cycle=1)
         for _ in range(2):
             mask.advance()
-        if legacy:
-            victims = policy.select(mask.eligible_mask(), 5)
-        else:
-            victims = policy.select_eligible(5)
+        victims = policy.select_eligible(5)
         # Deterministic warm-up: the five smallest vacant slot indices.
         assert victims.tolist() == [1, 2, 5, 6, 7]
 
@@ -179,9 +176,9 @@ class TestRandomVacancyOrder:
         """Once vacancies run out, both implementations must consume the
         RNG identically (the sensitivity figures depend on every draw)."""
         outcomes = []
-        for legacy in (True, False):
+        for policy_cls in (ScanRandomPolicy, RandomPolicy):
             mask = HoldMask(num_slots=10, past_window=0)
-            policy = RandomPolicy(num_slots=10, legacy=legacy, seed=3)
+            policy = policy_cls(num_slots=10, seed=3)
             policy.bind_hold_mask(mask)
             picks = []
             for cycle in range(1, 9):
@@ -189,10 +186,7 @@ class TestRandomVacancyOrder:
                 mask.hold(slots)
                 policy.record_use(slots, cycle)
                 mask.advance()
-                if legacy:
-                    picks.append(policy.select(mask.eligible_mask(), 4).tolist())
-                else:
-                    picks.append(policy.select_eligible(4).tolist())
+                picks.append(policy.select_eligible(4).tolist())
             outcomes.append(picks)
         assert outcomes[0] == outcomes[1]
 
@@ -210,11 +204,13 @@ class TestPostResetEquivalence:
 
 
 class TestPipelineOracleEquivalence:
-    """Whole-pipeline check: scan-oracle scratchpads and incremental
-    scratchpads produce bit-identical cache statistics."""
+    """Whole-pipeline check: scan-reference scratchpads and incremental
+    scratchpads produce bit-identical cache statistics, under every stage
+    executor."""
 
+    @pytest.mark.parametrize("executor", ("serial", "overlapped"))
     @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_metadata_stats_identical(self, policy_name):
+    def test_metadata_stats_identical(self, policy_name, executor, monkeypatch):
         from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
         from repro.data.trace import make_dataset
         from repro.model.config import tiny_config
@@ -225,14 +221,17 @@ class TestPipelineOracleEquivalence:
         )
         dataset = make_dataset(cfg, "random", seed=11, num_batches=30)
 
-        def run(legacy):
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
+
+        def run(build_scratchpads):
             pipeline = ScratchPipePipeline(
                 config=cfg,
-                scratchpads=make_scratchpads(
-                    cfg, 150, policy_name=policy_name, legacy_select=legacy
+                scratchpads=build_scratchpads(
+                    cfg, 150, policy_name=policy_name
                 ),
                 dataset_batches=dataset,
                 monitor=HazardMonitor(strict=True),
+                executor=executor,
             )
             return [
                 (s.batch_index, s.unique_ids, s.hits, s.misses, s.writebacks,
@@ -240,4 +239,4 @@ class TestPipelineOracleEquivalence:
                 for s in pipeline.run().cache_stats
             ]
 
-        assert run(True) == run(False)
+        assert run(scan_scratchpads) == run(make_scratchpads)
