@@ -21,8 +21,7 @@ def select(policy, eligible, count):
     """Select over an explicit eligibility mask: a fresh hold mask leaves
     every slot eligible, and the ineligible ones go in as the transient
     (future-window) set."""
-    if policy._hold_mask is None:
-        policy.bind_hold_mask(HoldMask(policy.num_slots, past_window=0))
+    policy.bind_hold_mask(HoldMask(policy.num_slots, past_window=0))
     return policy.select_eligible(count, np.flatnonzero(~eligible))
 
 

@@ -44,7 +44,6 @@ from repro.systems.scratchpipe_system import make_scratchpads
 __all__ = [
     "DictHazardMonitor",
     "PerCycleUniquePipeline",
-    "SCAN_POLICIES",
     "ScanLfuPolicy",
     "ScanLruPolicy",
     "ScanRandomPolicy",
@@ -122,7 +121,7 @@ class ScanRandomPolicy(_ScanSelection, RandomPolicy):
         return np.concatenate([vacant, extra])
 
 
-SCAN_POLICIES = {
+_SCAN_POLICIES = {
     "lru": ScanLruPolicy,
     "lfu": ScanLfuPolicy,
     "random": ScanRandomPolicy,
@@ -131,7 +130,7 @@ SCAN_POLICIES = {
 
 def scan_policy(name: str, num_slots: int):
     """Build the full-scan twin of builtin policy ``name``."""
-    return SCAN_POLICIES[name.lower()](num_slots=num_slots)
+    return _SCAN_POLICIES[name.lower()](num_slots=num_slots)
 
 
 def scan_scratchpads(config, num_slots, policy_name="lru", **kwargs):

@@ -20,6 +20,7 @@ Every ScratchPipe pipeline these cases build runs under a strict
 the caller passes none), and each case asserts it flagged nothing.
 """
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -123,7 +124,7 @@ def _serve_text() -> str:
 CASES = {
     **{
         f"stats-{policy}-{executor}": (
-            lambda p=policy, e=executor: _stats_text(p, e), True
+            functools.partial(_stats_text, policy, executor), True
         )
         for policy in POLICIES
         for executor in EXECUTORS
